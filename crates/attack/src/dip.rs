@@ -235,17 +235,6 @@ pub fn attack(
     // and no assumptions are in flight yet.
     solver.preprocess();
 
-    // Why the loop ended early, when it did. Timeouts are kept distinct
-    // from deterministic budget exhaustion because only the latter yields a
-    // reproducible (censored) runtime label.
-    #[derive(Clone, Copy)]
-    enum End {
-        Budget,
-        Timeout(ExpiredDeadline),
-        Memory,
-        Cancelled,
-    }
-
     // The deadline for the next solver call: the attack deadline or the
     // per-query deadline, whichever falls first.
     let query_deadline = |attack_deadline: Option<Instant>| -> Option<Instant> {
@@ -257,22 +246,25 @@ pub fn attack(
     };
     // Classifies a `SolveResult::Unknown`: past a wall-clock deadline it
     // was a timeout (the whole-attack bound wins attribution when both have
-    // expired), otherwise the per-solve conflict cap fired.
+    // expired), otherwise the per-solve conflict cap fired. Timeouts are
+    // kept distinct from deterministic budget exhaustion because only the
+    // latter yields a reproducible (censored) runtime label.
     let classify_unknown =
-        |attack_deadline: Option<Instant>, solve_deadline: Option<Instant>| -> End {
+        |attack_deadline: Option<Instant>, solve_deadline: Option<Instant>| -> AttackOutcome {
             let now = Instant::now();
             if attack_deadline.is_some_and(|d| now >= d) {
-                End::Timeout(ExpiredDeadline::Attack)
+                AttackOutcome::TimedOut(ExpiredDeadline::Attack)
             } else if solve_deadline.is_some_and(|d| now >= d) {
-                End::Timeout(ExpiredDeadline::PerQuery)
+                AttackOutcome::TimedOut(ExpiredDeadline::PerQuery)
             } else {
-                End::Budget
+                AttackOutcome::BudgetExceeded
             }
         };
 
     let mut iterations = 0usize;
     let mut dips = Vec::new();
-    let mut ended: Option<End> = None;
+    // Why the loop ended early, when it did.
+    let mut ended: Option<AttackOutcome> = None;
 
     loop {
         if let Some(hb) = &config.heartbeat {
@@ -282,22 +274,22 @@ pub fn attack(
             hb.beat();
         }
         if config.is_cancelled() {
-            ended = Some(End::Cancelled);
+            ended = Some(AttackOutcome::Cancelled);
             break;
         }
         if attack_deadline.is_some_and(|d| Instant::now() >= d) {
-            ended = Some(End::Timeout(ExpiredDeadline::Attack));
+            ended = Some(AttackOutcome::TimedOut(ExpiredDeadline::Attack));
             break;
         }
         if let Some(max) = config.max_iterations {
             if iterations >= max {
-                ended = Some(End::Budget);
+                ended = Some(AttackOutcome::BudgetExceeded);
                 break;
             }
         }
         if let Some(budget) = config.work_budget {
             if solver.stats().work() >= budget {
-                ended = Some(End::Budget);
+                ended = Some(AttackOutcome::BudgetExceeded);
                 break;
             }
         }
@@ -315,7 +307,7 @@ pub fn attack(
                 // everything else is classified by which bound expired.
                 ended = Some(
                     if solver.out_of_budget() == Some(sat::OutOfBudget::Memory) {
-                        End::Memory
+                        AttackOutcome::MemoryExceeded
                     } else {
                         classify_unknown(attack_deadline, deadline)
                     },
@@ -371,10 +363,7 @@ pub fn attack(
     }
 
     let outcome = match ended {
-        Some(End::Cancelled) => AttackOutcome::Cancelled,
-        Some(End::Timeout(which)) => AttackOutcome::TimedOut(which),
-        Some(End::Memory) => AttackOutcome::MemoryExceeded,
-        Some(End::Budget) => AttackOutcome::BudgetExceeded,
+        Some(outcome) => outcome,
         None => {
             // No DIP remains: any key satisfying the I/O constraints is
             // correct. The extraction solve stays under the attack deadline
@@ -391,10 +380,7 @@ pub fn attack(
                     if solver.out_of_budget() == Some(sat::OutOfBudget::Memory) {
                         AttackOutcome::MemoryExceeded
                     } else {
-                        match classify_unknown(attack_deadline, None) {
-                            End::Timeout(which) => AttackOutcome::TimedOut(which),
-                            _ => AttackOutcome::BudgetExceeded,
-                        }
+                        classify_unknown(attack_deadline, None)
                     }
                 }
             }

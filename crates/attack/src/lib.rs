@@ -30,13 +30,11 @@
 //! # }
 //! ```
 
-mod appsat;
 mod dip;
 mod error;
 mod oracle;
 mod runtime;
 
-pub use appsat::{appsat, AppSatConfig, AppSatOutcome, AppSatResult};
 pub use dip::{
     attack, attack_locked, AttackConfig, AttackOutcome, AttackResult, CancelToken, ExpiredDeadline,
 };

@@ -1,7 +1,7 @@
 use crate::error::DatasetError;
 use crate::instance::Instance;
-use crate::supervise::{AttackHook, RetryPolicy};
-use attack::{attack_locked, AttackConfig, AttackOutcome, AttackResult, RuntimeMeasure};
+use crate::supervise::{verdict, AttackHook, RetryPolicy, Verdict};
+use attack::{attack_locked, AttackConfig, AttackResult, RuntimeMeasure};
 use netlist::Circuit;
 use obfuscate::{eligible_gates, lut_lock, select_gates, LockedCircuit, SchemeKind};
 use rand::rngs::StdRng;
@@ -214,7 +214,8 @@ pub(crate) fn lock_instance(
     Ok(locked)
 }
 
-/// Builds the label for an already locked and attacked instance.
+/// Builds the label for an already locked and attacked instance whose
+/// result [`crate::supervise::verdict`] found labelable.
 pub(crate) fn label_instance(
     config: &DatasetConfig,
     locked: &LockedCircuit,
@@ -228,10 +229,9 @@ pub(crate) fn label_instance(
         work: result.runtime.work,
         seconds,
         log_seconds: seconds.max(1e-6).ln(),
-        censored: matches!(
-            result.outcome,
-            AttackOutcome::BudgetExceeded | AttackOutcome::TimedOut(_)
-        ),
+        // Only verdict-labelable results reach here, so no key means the
+        // deterministic budget cut the attack short.
+        censored: result.key().is_none(),
     }
 }
 
@@ -247,10 +247,11 @@ pub(crate) fn label_instance(
 ///
 /// Wraps locking failures as [`DatasetError::Obfuscate`] and attack failures
 /// as [`DatasetError::Attack`] (carrying the instance index and circuit
-/// name). A wall-clock timeout or cancellation surfaces as
-/// [`DatasetError::Quarantined`] / [`DatasetError::Attack`] respectively —
-/// this fail-fast entry point never labels a machine-dependent partial run
-/// (retry and quarantine live in the supervised sweep,
+/// name). An attack the supervised sweep would quarantine (wall-clock
+/// timeout, memory budget) surfaces as [`DatasetError::Quarantined`] with
+/// the sweep's failure record, and a cancellation as
+/// [`DatasetError::Attack`] — this fail-fast entry point never labels a
+/// partial run (retry lives in the supervised sweep,
 /// [`crate::generate_parallel_with`]).
 pub fn generate_one(
     config: &DatasetConfig,
@@ -267,58 +268,18 @@ pub fn generate_one(
         circuit: config.profile.clone(),
         source,
     })?;
-    match result.outcome {
-        AttackOutcome::Cancelled => Err(DatasetError::Attack {
+    match verdict(&result, &config.attack, 1) {
+        Verdict::Label => Ok(label_instance(config, &locked, &result)),
+        Verdict::Cancelled => Err(DatasetError::Attack {
             instance: index,
             circuit: config.profile.clone(),
             source: attack::AttackError::Cancelled,
         }),
-        AttackOutcome::TimedOut(which) => Err(DatasetError::Quarantined {
+        Verdict::Retryable(failure) | Verdict::Final(failure) => Err(DatasetError::Quarantined {
             instance: index,
             circuit: config.profile.clone(),
-            failure: crate::supervise::InstanceFailure {
-                kind: crate::supervise::FailureKind::Timeout,
-                attempts: 1,
-                message: crate::supervise::timeout_message(which, &config.attack),
-                iterations: result.iterations,
-                work: result.solver_stats.work(),
-            },
+            failure,
         }),
-        AttackOutcome::MemoryExceeded => Err(DatasetError::Quarantined {
-            instance: index,
-            circuit: config.profile.clone(),
-            failure: crate::supervise::InstanceFailure {
-                kind: crate::supervise::FailureKind::MemoryExceeded,
-                attempts: 1,
-                message: format!(
-                    "logical-byte budget {:?} exceeded (peak {} bytes)",
-                    config.attack.mem_budget, result.peak_logical_bytes
-                ),
-                iterations: result.iterations,
-                work: result.solver_stats.work(),
-            },
-        }),
-        // A completion perturbed by memory pressure never labels (its work
-        // measure depends on the budget); see `supervise_attack` for the
-        // full argument.
-        _ if config.attack.mem_budget.is_some() && result.solver_stats.mem_pressure_events > 0 => {
-            Err(DatasetError::Quarantined {
-                instance: index,
-                circuit: config.profile.clone(),
-                failure: crate::supervise::InstanceFailure {
-                    kind: crate::supervise::FailureKind::MemoryExceeded,
-                    attempts: 1,
-                    message: format!(
-                        "completed under memory pressure (budget {:?}, peak {} bytes); \
-                         label withheld",
-                        config.attack.mem_budget, result.peak_logical_bytes
-                    ),
-                    iterations: result.iterations,
-                    work: result.solver_stats.work(),
-                },
-            })
-        }
-        _ => Ok(label_instance(config, &locked, &result)),
     }
 }
 

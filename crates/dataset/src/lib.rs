@@ -51,7 +51,7 @@ pub use instance::Instance;
 pub use parallel::{
     generate_parallel, generate_parallel_with, SweepFailure, SweepReport, WorkerStats,
 };
-pub use split::{kfold, train_test_split, Split};
+pub use split::{train_test_split, Split};
 pub use supervise::{
     supervise_attack, AttackHook, FailureKind, InstanceFailure, RetryPolicy, Supervised,
 };

@@ -26,9 +26,7 @@
 
 use crate::checkpoint::{instance_key, supervision_key, CheckpointLog};
 use crate::error::DatasetError;
-use crate::generate::{
-    generate_one, label_instance, lock_instance, sweep_circuit, Dataset, DatasetConfig,
-};
+use crate::generate::{label_instance, lock_instance, sweep_circuit, Dataset, DatasetConfig};
 use crate::instance::Instance;
 use crate::supervise::{supervise_attack, InstanceFailure, Supervised};
 use attack::CancelToken;
@@ -465,22 +463,10 @@ pub fn generate_parallel_with(
     Ok((Dataset { circuit, instances }, report))
 }
 
-/// Serial reference sweep through the same code path as the workers —
-/// exists so tests can assert `generate == generate_parallel` without
-/// trusting either side.
-#[allow(dead_code)]
-pub(crate) fn generate_serial_reference(config: &DatasetConfig) -> Result<Dataset, DatasetError> {
-    let circuit = sweep_circuit(config)?;
-    let instances = (0..config.num_instances)
-        .map(|i| generate_one(config, &circuit, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Dataset { circuit, instances })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::generate;
+    use crate::generate::{generate, generate_one};
     use crate::supervise::RetryPolicy;
     use attack::AttackError;
     use std::sync::Arc;
@@ -636,6 +622,20 @@ mod tests {
         assert!(quarantined
             .iter()
             .all(|(_, k)| *k == crate::supervise::FailureKind::MemoryExceeded));
+        // The fail-fast path applies the same verdict rule: it quarantines
+        // exactly the instances the sweep did, with the same record.
+        let circuit = sweep_circuit(&config).unwrap();
+        for record in &serial_report.failures {
+            match generate_one(&config, &circuit, record.index) {
+                Err(DatasetError::Quarantined { failure, .. }) => {
+                    assert_eq!(failure, record.failure, "instance {}", record.index)
+                }
+                other => panic!(
+                    "instance {}: expected Quarantined, got {other:?}",
+                    record.index
+                ),
+            }
+        }
         for jobs in [2, 4] {
             let (parallel, report) = generate_parallel_with(&config, jobs, None).unwrap();
             let par_quarantined: Vec<(usize, crate::supervise::FailureKind)> = report

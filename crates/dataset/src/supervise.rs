@@ -218,6 +218,80 @@ pub(crate) fn timeout_message(which: ExpiredDeadline, config: &AttackConfig) -> 
     format!("wall-clock {} {:?} expired", which.describe(), bound)
 }
 
+/// What one finished attack run means for its instance.
+pub(crate) enum Verdict {
+    /// The attack completed (key recovered or deterministic budget hit)
+    /// without memory pressure perturbing it; the result is labelable.
+    Label,
+    /// A wall-clock deadline expired; a retry under escalated deadlines may
+    /// still finish.
+    Retryable(InstanceFailure),
+    /// Deterministic for the configured budgets, so a retry would replay
+    /// the same search: quarantine now.
+    Final(InstanceFailure),
+    /// The attack was stopped through its cancel token — shutdown, not a
+    /// verdict on the instance.
+    Cancelled,
+}
+
+/// The one rule deciding whether an attack `result`, run under `config`
+/// as attempt number `attempts` (1-based), labels its instance or
+/// quarantines it. Both the fail-fast [`crate::generate_one`] and
+/// [`supervise_attack`] apply it, so a quarantine record reads the same on
+/// either path.
+pub(crate) fn verdict(result: &AttackResult, config: &AttackConfig, attempts: usize) -> Verdict {
+    let failure = |kind, message| InstanceFailure {
+        kind,
+        attempts,
+        message,
+        iterations: result.iterations,
+        work: result.solver_stats.work(),
+    };
+    let rounds = result.solver_stats.mem_pressure_events;
+    let plural = if rounds == 1 { "" } else { "s" };
+    match result.outcome {
+        AttackOutcome::Cancelled => Verdict::Cancelled,
+        AttackOutcome::TimedOut(which) => Verdict::Retryable(failure(
+            FailureKind::Timeout,
+            timeout_message(which, config),
+        )),
+        // Deterministic for the configured budget: the solver degraded as
+        // far as it could and still did not fit, and retrying under the
+        // same budget replays the same search. Only a raised budget (a new
+        // supervision fingerprint) re-attacks the instance.
+        AttackOutcome::MemoryExceeded => Verdict::Final(failure(
+            FailureKind::MemoryExceeded,
+            format!(
+                "logical-byte budget {:?} exceeded after {rounds} degradation round{plural} \
+                 (peak {} bytes)",
+                config.mem_budget, result.peak_logical_bytes,
+            ),
+        )),
+        // A completion whose search was perturbed by memory pressure
+        // (aggressive learnt-DB shedding fired at least once) carries a
+        // budget-dependent work measure: the degraded search explored a
+        // different clause database than an unbudgeted run would have.
+        // Labeling it would make the label a function of `--mem-budget`,
+        // breaking the contract that completed labels survive a budget
+        // raise. Quarantine instead — deterministic for the budget, so no
+        // retry — and let a roomier resume produce the true (unperturbed)
+        // label.
+        AttackOutcome::KeyRecovered(_) | AttackOutcome::BudgetExceeded
+            if config.mem_budget.is_some() && rounds > 0 =>
+        {
+            Verdict::Final(failure(
+                FailureKind::MemoryExceeded,
+                format!(
+                    "completed under memory pressure ({rounds} degradation round{plural}, \
+                     budget {:?}, peak {} bytes); label withheld",
+                    config.mem_budget, result.peak_logical_bytes,
+                ),
+            ))
+        }
+        AttackOutcome::KeyRecovered(_) | AttackOutcome::BudgetExceeded => Verdict::Label,
+    }
+}
+
 /// Runs the attack for instance `index` of `config` under full supervision:
 /// panic isolation, retry with escalation, and failure typing. The attack
 /// config `base` must already carry the sweep's cancel token (when any).
@@ -240,70 +314,11 @@ pub fn supervise_attack(
             None => attack_locked(locked, &attack_cfg),
         }));
         let failure = match run {
-            Ok(Ok(result)) => match result.outcome {
-                AttackOutcome::KeyRecovered(_) | AttackOutcome::BudgetExceeded => {
-                    // A completion whose search was perturbed by memory
-                    // pressure (aggressive learnt-DB shedding fired at least
-                    // once) carries a budget-dependent work measure: the
-                    // degraded search explored a different clause database
-                    // than an unbudgeted run would have. Labeling it would
-                    // make the label a function of `--mem-budget`, breaking
-                    // the contract that completed labels survive a budget
-                    // raise. Quarantine instead — deterministic for the
-                    // budget, so no retry — and let a roomier resume produce
-                    // the true (unperturbed) label.
-                    if attack_cfg.mem_budget.is_some()
-                        && result.solver_stats.mem_pressure_events > 0
-                    {
-                        return Supervised::Failed(InstanceFailure {
-                            kind: FailureKind::MemoryExceeded,
-                            attempts: attempt + 1,
-                            message: format!(
-                                "completed under memory pressure ({} degradation round{}, \
-                                 budget {:?}, peak {} bytes); label withheld",
-                                result.solver_stats.mem_pressure_events,
-                                if result.solver_stats.mem_pressure_events == 1 {
-                                    ""
-                                } else {
-                                    "s"
-                                },
-                                attack_cfg.mem_budget,
-                                result.peak_logical_bytes,
-                            ),
-                            iterations: result.iterations,
-                            work: result.solver_stats.work(),
-                        });
-                    }
-                    return Supervised::Done(result);
-                }
-                AttackOutcome::Cancelled => return Supervised::Cancelled,
-                AttackOutcome::MemoryExceeded => {
-                    // Deterministic for the configured budget: the solver
-                    // degraded as far as it could and still did not fit, and
-                    // retrying under the same budget replays the same search.
-                    // Quarantine immediately; only a raised budget (a new
-                    // supervision fingerprint) re-attacks the instance.
-                    return Supervised::Failed(InstanceFailure {
-                        kind: FailureKind::MemoryExceeded,
-                        attempts: attempt + 1,
-                        message: format!(
-                            "logical-byte budget {:?} exceeded after {} degradation round{} (peak {} bytes)",
-                            attack_cfg.mem_budget,
-                            result.solver_stats.mem_pressure_events,
-                            if result.solver_stats.mem_pressure_events == 1 { "" } else { "s" },
-                            result.peak_logical_bytes,
-                        ),
-                        iterations: result.iterations,
-                        work: result.solver_stats.work(),
-                    });
-                }
-                AttackOutcome::TimedOut(which) => InstanceFailure {
-                    kind: FailureKind::Timeout,
-                    attempts: attempt + 1,
-                    message: timeout_message(which, &attack_cfg),
-                    iterations: result.iterations,
-                    work: result.solver_stats.work(),
-                },
+            Ok(Ok(result)) => match verdict(&result, &attack_cfg, attempt + 1) {
+                Verdict::Label => return Supervised::Done(result),
+                Verdict::Cancelled => return Supervised::Cancelled,
+                Verdict::Final(failure) => return Supervised::Failed(failure),
+                Verdict::Retryable(failure) => failure,
             },
             Ok(Err(AttackError::Cancelled)) => return Supervised::Cancelled,
             Ok(Err(error)) => {

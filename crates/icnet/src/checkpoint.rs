@@ -126,8 +126,9 @@ fn render(ckpt: &TrainCheckpoint) -> String {
 }
 
 /// Durably replaces the checkpoint at `path` with `ckpt`: full rewrite to a
-/// sibling temp file, flush, then atomic rename. A crash at any point
-/// leaves either the previous checkpoint or the new one, never a mix.
+/// sibling temp file, `fsync`, then atomic rename. The data reaches the
+/// disk before the rename can, so a crash or power loss at any point leaves
+/// either the previous checkpoint or the new one, never a mix.
 ///
 /// # Errors
 ///
@@ -175,7 +176,7 @@ pub(crate) fn save(path: &str, ckpt: &TrainCheckpoint) -> Result<(), String> {
         ));
     }
     file.write_all(contents.as_bytes()).map_err(describe)?;
-    file.flush().map_err(describe)?;
+    file.sync_all().map_err(describe)?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(describe)
 }

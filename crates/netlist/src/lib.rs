@@ -38,7 +38,6 @@ mod c17;
 mod circuit;
 mod error;
 mod gate;
-pub mod opt;
 mod sim;
 pub mod stats;
 pub mod topo;

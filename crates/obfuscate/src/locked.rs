@@ -77,19 +77,6 @@ impl LockedCircuit {
         Ok(builder.finish()?)
     }
 
-    /// Like [`LockedCircuit::apply_key`], followed by the netlist optimizer
-    /// (constant folding collapses the key constants and the MUX trees they
-    /// feed), recovering a circuit close to the original's size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LockedCircuit::apply_key`].
-    pub fn apply_key_optimized(&self, key: &Key) -> Result<Circuit, ObfuscateError> {
-        let applied = self.apply_key(key)?;
-        let (optimized, _) = netlist::opt::optimize(&applied)?;
-        Ok(optimized)
-    }
-
     /// Checks whether `key` restores the original function, by exhaustive
     /// simulation for small input counts and 1024 random 64-bit-parallel
     /// pattern words otherwise.
@@ -131,26 +118,6 @@ mod tests {
         assert!(applied.keys().is_empty());
         assert_eq!(applied.inputs().len(), 5);
         assert_eq!(applied.outputs().len(), 2);
-    }
-
-    #[test]
-    fn apply_key_optimized_shrinks_back_to_near_original() {
-        let base = netlist::c17();
-        let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 3, 1).unwrap();
-        // Locked netlist carries 3 MUX trees (15 MUXes each) + 48 key inputs.
-        assert!(locked.locked.num_gates() > 3 * base.num_gates());
-        let optimized = locked.apply_key_optimized(&locked.key).unwrap();
-        assert!(base.equiv_random(&optimized, &[], &[], 8, 5).unwrap());
-        // Folding the constant keys collapses most of each MUX tree (full
-        // collapse to one gate would need boolean resynthesis, which the
-        // optimizer deliberately does not attempt).
-        assert!(
-            optimized.num_gates() < locked.locked.num_gates() / 2,
-            "{} gates after optimization vs {} locked / {} original",
-            optimized.num_gates(),
-            locked.locked.num_gates(),
-            base.num_gates()
-        );
     }
 
     #[test]
