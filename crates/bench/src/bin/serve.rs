@@ -137,7 +137,8 @@ fn main() {
     let stats = server.join();
     eprintln!(
         "# drained: {} admitted, {} ok, {} shed, {} errors, {} worker deaths ({} respawned), \
-         {} inference batches ({} requests micro-batched), peak request {} bytes",
+         {} inference batches ({} requests micro-batched), peak request {} bytes, \
+         netlist_hits {} netlist_misses {}",
         stats.admitted,
         stats.completed,
         stats.shed,
@@ -147,6 +148,8 @@ fn main() {
         stats.infer_batches,
         stats.batched_requests,
         stats.peak_request_bytes,
+        stats.netlist_hits,
+        stats.netlist_misses,
     );
     cli::exit_if_interrupted();
     cli::finish_observability();

@@ -6,6 +6,7 @@ use dataset::{
 };
 use icnet::{Aggregation, FeatureSet, GraphModel, ModelKind, TrainConfig};
 use regress::metrics;
+use std::io::Write as _;
 use std::sync::Arc;
 use tensor::Matrix;
 
@@ -52,8 +53,8 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
 /// via the checkpoint log (which skips known-bad instances cheaply).
 ///
 /// An unreadable or torn cache file is a logged cache miss, not an error:
-/// the dataset regenerates and the cache is rewritten atomically (temp file
-/// + rename), so a crash mid-write can never poison the next run.
+/// the dataset regenerates and the cache is rewritten atomically (synced
+/// temp file + rename), so a crash mid-write can never poison the next run.
 ///
 /// # Panics
 ///
@@ -181,9 +182,9 @@ pub fn unseal_csv(text: &str) -> Result<&str, String> {
 }
 
 /// Writes `contents` to `path` atomically: a unique temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices) followed
-/// by a rename. Readers either see the old file or the complete new one,
-/// never a torn prefix.
+/// directory (same filesystem, so the rename cannot cross devices), synced
+/// to disk, then renamed. Readers either see the old file or the complete
+/// new one, never a torn prefix, even after a power cut.
 fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
     if let Some(fault) = faults::inject("cache.write") {
         let written = match fault.action {
@@ -208,10 +209,17 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
         )));
     }
     let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+    // The data must be on disk before the rename is: otherwise a power cut
+    // can persist the new name over an empty or partial file.
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(contents.as_bytes())?;
+        file.sync_all()
+    });
+    written
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 /// One cell of a results table.

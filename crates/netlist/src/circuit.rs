@@ -150,6 +150,21 @@ impl Circuit {
             .collect()
     }
 
+    /// Logical bytes of the circuit's storage: the gate records with their
+    /// names and fan-in lists, plus the port and topological-order id
+    /// lists. Bytes requested, not allocator capacity, so the value is a
+    /// pure function of the netlist (see the `budget` crate).
+    pub fn logical_bytes(&self) -> u64 {
+        let id = std::mem::size_of::<GateId>();
+        let gates: usize = self
+            .gates
+            .iter()
+            .map(|g| std::mem::size_of::<Gate>() + g.name.len() + g.fanin.len() * id)
+            .sum();
+        let ids = self.inputs.len() + self.keys.len() + self.outputs.len() + self.topo.len();
+        (self.name.len() + gates + ids * id) as u64
+    }
+
     /// Returns a copy of this circuit with a different name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -199,6 +214,19 @@ mod tests {
         assert_eq!(c.inputs().len(), 5);
         assert_eq!(c.keys().len(), 0);
         assert_eq!(c.outputs().len(), 2);
+    }
+
+    #[test]
+    fn logical_bytes_count_names_and_gates() {
+        let c = c17();
+        let renamed = c.clone().with_name("c17-renamed");
+        assert_eq!(
+            renamed.logical_bytes() - c.logical_bytes(),
+            ("c17-renamed".len() - "c17".len()) as u64
+        );
+        // At least one gate record per gate, and every fan-in id.
+        let floor = c.num_gates() * std::mem::size_of::<crate::Gate>() + 12 * 4;
+        assert!(c.logical_bytes() > floor as u64);
     }
 
     #[test]

@@ -23,11 +23,13 @@
 
 pub mod loadgen;
 mod microbatch;
+mod prepared;
 pub mod protocol;
 pub mod registry;
 pub mod server;
 
 pub use loadgen::{run_levels, wait_ready, LevelReport, LoadgenConfig, Workload};
+pub use prepared::{NETLIST_CACHE_BYTES, NETLIST_CACHE_ENTRIES};
 pub use protocol::{ErrorCode, FrameType, Reply, Request};
 pub use registry::{save_model, ModelEntry, ModelRegistry, RegistryError};
 pub use server::{ServeConfig, ServeStats, Server};

@@ -29,6 +29,7 @@
 //! request boundary, and `join` returns only when the pool is idle.
 
 use crate::microbatch::{self, BatchStats, InferJob, InferOutcome};
+use crate::prepared::{Prepared, PreparedNetlists};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, FrameReadError, FrameType, Reply, Request,
     DEFAULT_MAX_PAYLOAD,
@@ -150,6 +151,12 @@ pub struct ServeStats {
     /// requested, not allocator overhead — deterministic for a given
     /// request stream (see the `budget` crate).
     pub peak_request_bytes: u64,
+    /// Predict requests whose netlist was already prepared (parsed, with
+    /// its graph operator built) and taken from the prepared-netlist cache.
+    pub netlist_hits: u64,
+    /// Predict requests that prepared their netlist themselves, including
+    /// those whose netlist failed to parse.
+    pub netlist_misses: u64,
 }
 
 struct Shared {
@@ -158,6 +165,8 @@ struct Shared {
     queue_len: AtomicUsize,
     counters: Counters,
     batch_stats: Arc<BatchStats>,
+    /// Parsed netlists and their operators, shared across requests.
+    netlists: PreparedNetlists,
     /// Sender side of the micro-batcher queue; `join` takes it to let the
     /// batcher thread drain and exit.
     infer_tx: Mutex<Option<SyncSender<InferJob>>>,
@@ -175,6 +184,8 @@ impl Shared {
             infer_batches: self.batch_stats.batches.load(Ordering::Relaxed),
             batched_requests: self.batch_stats.batched_jobs.load(Ordering::Relaxed),
             peak_request_bytes: self.counters.peak_request_bytes.load(Ordering::Relaxed),
+            netlist_hits: self.netlists.hits(),
+            netlist_misses: self.netlists.misses(),
         }
     }
 }
@@ -222,6 +233,7 @@ impl Server {
             queue_len: AtomicUsize::new(0),
             counters: Counters::default(),
             batch_stats: Arc::clone(&batch_stats),
+            netlists: PreparedNetlists::new(),
             infer_tx: Mutex::new(Some(infer_sender)),
         });
         let (sender, receiver) =
@@ -831,8 +843,9 @@ impl Deadline {
     }
 }
 
-/// Runs the full request pipeline: decode → registry lookup → parse →
-/// graph/features → predict, checking the deadline between stages.
+/// Runs the full request pipeline: decode → registry lookup → parse and
+/// graph operator (or a prepared-netlist cache hit) → mask lookup →
+/// features → predict, checking the deadline between stages.
 fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Reply {
     let error = |code: ErrorCode, message: String| Reply::Error { code, message };
 
@@ -890,10 +903,25 @@ fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Re
         return expired();
     }
 
-    let circuit = match Circuit::from_bench(request.model.clone(), &request.bench) {
-        Ok(circuit) => circuit,
-        Err(e) => return error(ErrorCode::BadNetlist, e.to_string()),
+    // Parse and build the operator only for a netlist this model has not
+    // seen recently; the mask-dependent stages below run for every request.
+    let prepared = shared
+        .netlists
+        .get_or_prepare(&request.model, request.bench, |bench| {
+            let circuit = Circuit::from_bench(request.model.clone(), bench)
+                .map_err(|e| error(ErrorCode::BadNetlist, e.to_string()))?;
+            if deadline.expired() {
+                return Err(expired());
+            }
+            let graph = CircuitGraph::from_circuit(&circuit);
+            let op = Arc::new(entry.model.kind.operator(&graph));
+            Ok(Prepared { circuit, op })
+        });
+    let prepared = match prepared {
+        Ok(prepared) => prepared,
+        Err(reply) => return reply,
     };
+    let Prepared { circuit, op } = prepared.as_ref();
     if deadline.expired() {
         return expired();
     }
@@ -917,9 +945,8 @@ fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Re
     // The cheap per-request stages stay on this worker; the expensive GNN
     // forward pass goes through the micro-batcher, which packs concurrent
     // same-model requests into one batched inference.
-    let graph = CircuitGraph::from_circuit(&circuit);
-    let op = Arc::new(entry.model.kind.operator(&graph));
-    let x = encode_features(&circuit, &selected, entry.features);
+    let op = Arc::clone(op);
+    let x = encode_features(circuit, &selected, entry.features);
     // Logical bytes of this request's inference inputs — the dominant
     // per-request allocations. Deterministic for a given request stream, so
     // the peak lands in BENCH_serve.json as a comparable number.

@@ -17,7 +17,7 @@ use serve::{
 };
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -30,16 +30,45 @@ impl Drop for Disarm {
     }
 }
 
-fn demo_registry() -> ModelRegistry {
-    let model = icnet::GraphModel::new(
-        icnet::ModelKind::Gcn,
+fn model_of_kind(kind: icnet::ModelKind) -> icnet::GraphModel {
+    icnet::GraphModel::new(
+        kind,
         icnet::Aggregation::Sum,
         icnet::NUM_FEATURES_ALL,
         8,
         8,
         7,
-    );
+    )
+}
+
+fn demo_registry() -> ModelRegistry {
+    let model = model_of_kind(icnet::ModelKind::Gcn);
     ModelRegistry::from_models([("demo".to_owned(), model)]).expect("demo registry")
+}
+
+/// The model's answer for `request` computed in-process from a freshly
+/// parsed copy of its netlist — what the server must reproduce bit-for-bit.
+fn in_process_prediction(model: &icnet::GraphModel, request: &Request) -> f64 {
+    let circuit = netlist::Circuit::from_bench(request.model.clone(), &request.bench)
+        .expect("test netlists parse");
+    let op = Arc::new(
+        model
+            .kind
+            .operator(&icnet::CircuitGraph::from_circuit(&circuit)),
+    );
+    let selected: Vec<_> = request
+        .mask
+        .iter()
+        .map(|name| circuit.find(name).expect("mask gate exists"))
+        .collect();
+    let x = icnet::encode_features(&circuit, &selected, icnet::FeatureSet::All);
+    model.predict(&op, &x)
+}
+
+/// c17 made textually distinct by a trailing comment: the same circuit,
+/// a different cache key.
+fn c17_variant(i: usize) -> String {
+    format!("{}# variant {i}\n", netlist::c17().to_bench())
 }
 
 fn start_server(config: ServeConfig) -> Server {
@@ -693,4 +722,152 @@ fn server_meters_the_same_request_bytes_the_client_can_compute() {
 
     let stats = server.shutdown();
     assert_eq!(stats.peak_request_bytes, expected);
+}
+
+#[test]
+fn one_netlist_many_masks_reuses_the_parse_and_answers_bit_identically() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let server = start_server(ServeConfig::default());
+    let model = model_of_kind(icnet::ModelKind::Gcn);
+
+    let circuit = synth::iscas::circuit("c432", 3).expect("c432 profile exists");
+    let bench = circuit.to_bench();
+    let logic: Vec<String> = circuit
+        .gates()
+        .filter(|g| !g.kind().is_input())
+        .map(|g| g.name().to_owned())
+        .collect();
+    let n = 24;
+    let mut stream = connect(&server);
+    for i in 0..n {
+        let mut mask = vec![logic[i % logic.len()].clone()];
+        if i % 3 != 0 {
+            mask.push(logic[(7 * i + 5) % logic.len()].clone());
+        }
+        let request = Request {
+            model: "demo".to_owned(),
+            deadline_ms: 0,
+            mask,
+            bench: bench.clone(),
+        };
+        let got = expect_prediction(protocol::call(&mut stream, &request).unwrap());
+        let want = in_process_prediction(&model, &request);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "request {i}: {got} vs {want}"
+        );
+    }
+    drop(stream);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, n as u64);
+    assert_eq!(stats.netlist_hits, n as u64 - 1, "{stats:?}");
+    assert_eq!(stats.netlist_misses, 1, "{stats:?}");
+}
+
+#[test]
+fn cached_netlists_still_refuse_unknown_gates_and_bad_netlists_are_never_cached() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let server = start_server(ServeConfig::default());
+    let mut stream = connect(&server);
+
+    expect_prediction(protocol::call(&mut stream, &valid_request(0)).unwrap());
+    let mut missing = valid_request(0);
+    missing.mask = vec!["n10".to_owned(), "no_such_gate".to_owned()];
+    let message = expect_error(
+        protocol::call(&mut stream, &missing).unwrap(),
+        ErrorCode::UnknownGate,
+    );
+    assert!(message.contains("no_such_gate"), "{message}");
+    let after_unknown_gate = server.stats();
+    assert_eq!(after_unknown_gate.netlist_hits, 1, "{after_unknown_gate:?}");
+
+    let mut malformed = valid_request(0);
+    malformed.bench = "INPUT(a)\nOUTPUT(y)\ny = AND(a, undefined_signal)\n".to_owned();
+    for _ in 0..2 {
+        expect_error(
+            protocol::call(&mut stream, &malformed).unwrap(),
+            ErrorCode::BadNetlist,
+        );
+    }
+    drop(stream);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.netlist_hits, 1, "a bad netlist never hits: {stats:?}");
+    assert_eq!(stats.netlist_misses, 3, "{stats:?}");
+    assert_eq!((stats.completed, stats.errors), (1, 3));
+}
+
+#[test]
+fn more_netlists_than_the_entry_bound_stay_correct_and_evict_the_oldest() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let server = start_server(ServeConfig::default());
+    let model = model_of_kind(icnet::ModelKind::Gcn);
+    let request = |i: usize| Request {
+        bench: c17_variant(i),
+        ..valid_request(0)
+    };
+
+    let mut stream = connect(&server);
+    for i in 0..=serve::NETLIST_CACHE_ENTRIES {
+        let got = expect_prediction(protocol::call(&mut stream, &request(i)).unwrap());
+        let want = in_process_prediction(&model, &request(i));
+        assert_eq!(got.to_bits(), want.to_bits(), "netlist {i}");
+    }
+    let filled = server.stats();
+    assert_eq!(filled.netlist_hits, 0, "every netlist was new: {filled:?}");
+
+    // One more netlist than the bound: the first one was evicted.
+    let got = expect_prediction(protocol::call(&mut stream, &request(0)).unwrap());
+    assert_eq!(
+        got.to_bits(),
+        in_process_prediction(&model, &request(0)).to_bits()
+    );
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!(stats.netlist_hits, 0, "{stats:?}");
+    assert_eq!(
+        stats.netlist_misses,
+        serve::NETLIST_CACHE_ENTRIES as u64 + 2,
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn the_same_netlist_under_two_model_kinds_gets_each_models_own_operator() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Same seed and shapes: the two models differ only in the operator
+    // their kind builds, so a shared cache entry would show in the answer.
+    let gcn = model_of_kind(icnet::ModelKind::Gcn);
+    let icnet_model = model_of_kind(icnet::ModelKind::ICNet);
+    let registry = ModelRegistry::from_models([
+        ("gcn".to_owned(), gcn.clone()),
+        ("icnet".to_owned(), icnet_model.clone()),
+    ])
+    .expect("registry");
+    let server = Server::start(registry, ServeConfig::default()).expect("server binds");
+
+    let mut stream = connect(&server);
+    let mut answers = Vec::new();
+    for (name, model) in [("gcn", &gcn), ("icnet", &icnet_model), ("gcn", &gcn)] {
+        let request = Request {
+            model: name.to_owned(),
+            ..valid_request(0)
+        };
+        let got = expect_prediction(protocol::call(&mut stream, &request).unwrap());
+        let want = in_process_prediction(model, &request);
+        assert_eq!(got.to_bits(), want.to_bits(), "model `{name}`");
+        answers.push(got);
+    }
+    drop(stream);
+    assert_ne!(
+        answers[0].to_bits(),
+        answers[1].to_bits(),
+        "the two operators must give different answers for this test to mean anything"
+    );
+
+    let stats = server.shutdown();
+    assert_eq!(stats.netlist_misses, 2, "one entry per model: {stats:?}");
+    assert_eq!(stats.netlist_hits, 1, "{stats:?}");
 }
